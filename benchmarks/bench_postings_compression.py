@@ -1,11 +1,11 @@
-"""Ablation: postings delta/varint codec + SSTable block compression + mmap.
+"""Ablation: SSTable block compression + mmap over packed postings.
 
 Smoke benchmarks for the compressed-storage rework (runner twin:
 ``python -m repro.bench.runner postings_compression``, which also writes
 the ``BENCH_postings_compression.json`` perf-trajectory snapshot):
 
 * decode throughput of the Index partitions -- a full scan-and-splice --
-  with the postings codec on vs off and block compression none vs zlib;
+  with block compression none vs zlib;
 * the Table 8 rare-pair query workload per storage configuration;
 * warm-cache point reads served by ``mmap`` vs ``pread`` (block cache
   disabled so every get physically loads its block).
@@ -26,38 +26,26 @@ PATTERN_LENGTH = 10
 PATTERNS = 10
 POINT_READS = 500
 
-CONFIGS = [
-    (False, None, False),
-    (True, None, False),
-    (False, "zlib", False),
-    (True, "zlib", False),
-    (True, "zlib", True),
-]
-CONFIG_IDS = [
-    "baseline",
-    "codec-only",
-    "zlib-only",
-    "codec+zlib",
-    "codec+zlib+mmap",
-]
+CONFIGS = [(None, False), ("zlib", False), ("zlib", True)]
+CONFIG_IDS = ["baseline", "zlib", "zlib+mmap"]
 
 
-def _build(workdir, codec, compression, use_mmap):
+def _build(workdir, compression, use_mmap):
     store = LSMStore(
         str(workdir / "db"),
         memtable_flush_bytes=256 * 1024,
         compression=compression,
         mmap=use_mmap,
     )
-    index = SequenceIndex(store, query_cache_size=0, postings_codec=codec)
+    index = SequenceIndex(store, query_cache_size=0)
     index.update(prepared_dataset(DATASET, SCALE))
     store.flush()
     return store, index
 
 
-@pytest.mark.parametrize(("codec", "compression", "use_mmap"), CONFIGS, ids=CONFIG_IDS)
-def test_index_decode_throughput(benchmark, tmp_path, codec, compression, use_mmap):
-    store, index = _build(tmp_path, codec, compression, use_mmap)
+@pytest.mark.parametrize(("compression", "use_mmap"), CONFIGS, ids=CONFIG_IDS)
+def test_index_decode_throughput(benchmark, tmp_path, compression, use_mmap):
+    store, index = _build(tmp_path, compression, use_mmap)
     tables = [t for t in store.list_tables() if t.split(":")[0] == "index"]
 
     def decode_all():
@@ -72,9 +60,9 @@ def test_index_decode_throughput(benchmark, tmp_path, codec, compression, use_mm
     index.close()
 
 
-@pytest.mark.parametrize(("codec", "compression", "use_mmap"), CONFIGS, ids=CONFIG_IDS)
-def test_stnm_rare_pair_queries(benchmark, tmp_path, codec, compression, use_mmap):
-    store, index = _build(tmp_path, codec, compression, use_mmap)
+@pytest.mark.parametrize(("compression", "use_mmap"), CONFIGS, ids=CONFIG_IDS)
+def test_stnm_rare_pair_queries(benchmark, tmp_path, compression, use_mmap):
+    store, index = _build(tmp_path, compression, use_mmap)
     log = prepared_dataset(DATASET, SCALE)
     patterns = rare_pair_patterns(log, index, PATTERN_LENGTH, PATTERNS)
 
@@ -89,7 +77,7 @@ def test_stnm_rare_pair_queries(benchmark, tmp_path, codec, compression, use_mma
 
 @pytest.mark.parametrize("use_mmap", [False, True], ids=["pread", "mmap"])
 def test_warm_cache_point_reads(benchmark, tmp_path, use_mmap):
-    store, index = _build(tmp_path, True, "zlib", use_mmap)
+    store, index = _build(tmp_path, "zlib", use_mmap)
     trace_ids = index.trace_ids()
     index.close()
     # Block cache off: every get physically loads its block, isolating the

@@ -21,7 +21,6 @@ from repro.bench.workloads import prepared_dataset, rare_pair_patterns
 from repro.core.engine import SequenceIndex
 from repro.kvstore import LSMStore
 from repro.service import SequenceService, ServiceClient, run_loadgen
-from repro.shard import ShardedSequenceIndex
 
 DATASET = "max_10000"
 PATTERN_LENGTH = 10
@@ -48,12 +47,9 @@ def workload():
 @pytest.fixture(params=SHARD_CONFIGS, ids=_IDS)
 def served_engine(request, tmp_path, workload):
     log, patterns = workload
-    if request.param is None:
-        engine = SequenceIndex(_store_factory(tmp_path / "db"))
-    else:
-        engine = ShardedSequenceIndex.open(
-            tmp_path / "db", _store_factory, num_shards=request.param
-        )
+    engine = SequenceIndex.open(
+        tmp_path / "db", _store_factory, num_shards=request.param
+    )
     engine.update(log)
     service = SequenceService(engine, port=0, max_inflight=16)
     service.start()

@@ -462,111 +462,6 @@ def exp_ablation_cache(
     return result
 
 
-def exp_ablation_planner(
-    scale: float,
-    dataset: str = "max_10000",
-    length: int = 10,
-    patterns_per_config: int = 15,
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Ablation: query planner x batched reads x postings cache.
-
-    Not a paper experiment.  Runs the Table 8 STNM query workload
-    (length-10 patterns containing at least one rare pair) against an
-    LSM-backed index under every combination of the three read-path
-    optimisations; the all-off configuration is the naive left-to-right
-    loop-of-gets baseline.  Also writes a ``BENCH_query_planner.json``
-    perf-trajectory snapshot next to the CSV's directory.
-    """
-    import json
-    import shutil
-    import tempfile
-
-    from repro.bench.workloads import rare_pair_patterns
-    from repro.core.engine import SequenceIndex
-    from repro.kvstore import LSMStore
-
-    result = ExperimentResult(
-        "ablation_planner",
-        f"Planner/multi_get/postings-cache ablation ({dataset}, length {length})",
-        ["planner", "batched reads", "postings cache", "s per query", "speedup"],
-    )
-    log = prepared_dataset(dataset, scale)
-    workdir = tempfile.mkdtemp(prefix="repro-planner-ablation-")
-    snapshot_configs = []
-    try:
-        store = LSMStore(workdir, memtable_flush_bytes=256 * 1024)
-        base_index = SequenceIndex(store, query_cache_size=0)
-        base_index.update(log)
-        store.flush()
-        patterns = rare_pair_patterns(
-            log, base_index, length=length, count=patterns_per_config
-        )
-        queries = max(1, len(patterns) * repeats)
-        timings: list[tuple[tuple[bool, bool, bool], float]] = []
-        for planner in (False, True):
-            for batched in (False, True):
-                for cache in (False, True):
-                    index = SequenceIndex(
-                        store,
-                        query_cache_size=0,
-                        postings_cache_size=64 if cache else 0,
-                        planner=planner,
-                        batched_reads=batched,
-                    )
-                    for pattern in patterns:  # warm-up (block/postings caches)
-                        index.detect(pattern)
-                    elapsed, _ = timed(
-                        lambda: [
-                            index.detect(p)
-                            for _ in range(repeats)
-                            for p in patterns
-                        ]
-                    )
-                    timings.append(((planner, batched, cache), elapsed / queries))
-        baseline = timings[0][1]  # planner off, batched off, cache off
-        for (planner, batched, cache), per_query in timings:
-            result.add(
-                "on" if planner else "off",
-                "on" if batched else "off",
-                "on" if cache else "off",
-                per_query,
-                baseline / per_query if per_query else float("inf"),
-            )
-            snapshot_configs.append(
-                {
-                    "planner": planner,
-                    "batched_reads": batched,
-                    "postings_cache": cache,
-                    "seconds_per_query": per_query,
-                }
-            )
-        store.close()
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    best = min(snapshot_configs, key=lambda c: c["seconds_per_query"])
-    snapshot = {
-        "experiment": "query_planner",
-        "dataset": dataset,
-        "scale": scale,
-        "pattern_length": length,
-        "patterns": patterns_per_config,
-        "repeats": repeats,
-        "baseline_seconds_per_query": baseline,
-        "best_seconds_per_query": best["seconds_per_query"],
-        "speedup": baseline / best["seconds_per_query"]
-        if best["seconds_per_query"]
-        else float("inf"),
-        "configs": snapshot_configs,
-    }
-    with open("BENCH_query_planner.json", "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh, indent=2)
-        fh.write("\n")
-    result.note("baseline: planner off, loop-of-gets, no postings cache")
-    result.note("snapshot: BENCH_query_planner.json")
-    return result
-
-
 def exp_pattern_language(
     scale: float,
     dataset: str = "max_10000",
@@ -695,19 +590,19 @@ def exp_postings_compression(
     repeats: int = 3,
     point_reads: int = 2000,
 ) -> ExperimentResult:
-    """Ablation: postings codec x block compression x mmap reads.
+    """Ablation: block compression x mmap reads over packed postings.
 
     Not a paper experiment.  Builds the ``dataset`` index once per storage
-    configuration -- postings delta/varint codec on/off, SSTable block
-    compression none/zlib, ``mmap`` reads on/off -- and measures bytes on
-    disk, postings decode throughput (full scan-and-splice of the Index
-    partitions), the Table 8 rare-pair query latency on the best read
-    path, and warm-cache point reads (block cache disabled, so mmap and
+    configuration -- SSTable block compression none/zlib, ``mmap`` reads
+    on/off -- and measures bytes on disk, postings decode throughput (full
+    scan-and-splice of the Index partitions), the Table 8 rare-pair query
+    latency, and warm-cache point reads (block cache disabled, so mmap and
     pread each serve every block physically).  Also writes a
-    ``BENCH_postings_compression.json`` perf-trajectory snapshot.
+    ``BENCH_postings_compression.json`` perf-trajectory snapshot.  The
+    postings codec itself is always on; its off leg is frozen history in
+    ``results/postings_compression.csv``.
     """
     import json
-    import os
     import shutil
     import tempfile
 
@@ -718,10 +613,8 @@ def exp_postings_compression(
 
     result = ExperimentResult(
         "postings_compression",
-        f"Postings-codec/block-compression/mmap ablation ({dataset}, "
-        f"length {length})",
+        f"Block-compression/mmap ablation ({dataset}, length {length})",
         [
-            "postings codec",
             "compression",
             "mmap",
             "disk bytes",
@@ -733,8 +626,7 @@ def exp_postings_compression(
     )
     log = prepared_dataset(dataset, scale)
     grid = [
-        (codec, compression, use_mmap)
-        for codec in (False, True)
+        (compression, use_mmap)
         for compression in (None, "zlib")
         for use_mmap in (False, True)
     ]
@@ -744,7 +636,7 @@ def exp_postings_compression(
     # of biasing whichever happened to run last.
     built = []
     try:
-        for codec, compression, use_mmap in grid:
+        for compression, use_mmap in grid:
             workdir = tempfile.mkdtemp(prefix="repro-postings-compression-")
             store = LSMStore(
                 workdir,
@@ -752,9 +644,7 @@ def exp_postings_compression(
                 compression=compression,
                 mmap=use_mmap,
             )
-            index = SequenceIndex(
-                store, query_cache_size=0, postings_codec=codec
-            )
+            index = SequenceIndex(store, query_cache_size=0)
             index.update(log)
             store.flush()
             patterns = rare_pair_patterns(
@@ -762,7 +652,6 @@ def exp_postings_compression(
             )
             built.append(
                 {
-                    "codec": codec,
                     "compression": compression,
                     "mmap": use_mmap,
                     "workdir": workdir,
@@ -837,7 +726,6 @@ def exp_postings_compression(
         per_query = cfg["query_s"] / max(1, len(cfg["patterns"]))
         point_us = cfg["point_s"] / max(1, point_reads) * 1e6
         result.add(
-            "on" if cfg["codec"] else "off",
             cfg["compression"] or "none",
             "on" if cfg["mmap"] else "off",
             disk_bytes,
@@ -848,7 +736,6 @@ def exp_postings_compression(
         )
         configs.append(
             {
-                "postings_codec": cfg["codec"],
                 "compression": cfg["compression"] or "none",
                 "mmap": cfg["mmap"],
                 "bytes_on_disk": disk_bytes,
@@ -863,23 +750,19 @@ def exp_postings_compression(
             }
         )
 
-    def _pick(codec, compression, use_mmap):
+    def _pick(compression, use_mmap):
         for cfg in configs:
-            if (
-                cfg["postings_codec"] is codec
-                and cfg["compression"] == compression
-                and cfg["mmap"] is use_mmap
-            ):
+            if cfg["compression"] == compression and cfg["mmap"] is use_mmap:
                 return cfg
-        raise KeyError((codec, compression, use_mmap))
+        raise KeyError((compression, use_mmap))
 
-    baseline = _pick(False, "none", False)
+    baseline = _pick("none", False)
     best_bytes = min(configs, key=lambda c: c["bytes_on_disk"])
-    packed = _pick(True, "zlib", False)
+    packed = _pick("zlib", False)
     # mmap vs pread compared on uncompressed files: with zlib every
     # physical load decompresses, which dwarfs the syscall difference.
-    mmap_on = _pick(True, "none", True)
-    pread = _pick(True, "none", False)
+    mmap_on = _pick("none", True)
+    pread = baseline
     snapshot = {
         "experiment": "postings_compression",
         "dataset": dataset,
@@ -905,19 +788,10 @@ def exp_postings_compression(
         "pread_point_read_us": pread["point_read_us"],
         "configs": configs,
     }
-    if os.path.exists("BENCH_query_planner.json"):
-        with open("BENCH_query_planner.json", encoding="utf-8") as fh:
-            planner = json.load(fh)
-        reference = planner.get("best_seconds_per_query")
-        if reference:
-            snapshot["planner_best_seconds_per_query"] = reference
-            snapshot["latency_vs_planner_best"] = (
-                packed["seconds_per_query"] / reference
-            )
     with open("BENCH_postings_compression.json", "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=2)
         fh.write("\n")
-    result.note("baseline: codec off, no compression, pread")
+    result.note("baseline: no compression, pread")
     result.note("point reads: block cache off, page cache warm")
     result.note("snapshot: BENCH_postings_compression.json")
     return result
@@ -957,7 +831,6 @@ def exp_sharded_service(
     from repro.core.engine import SequenceIndex
     from repro.kvstore import LSMStore
     from repro.service import SequenceService, run_loadgen
-    from repro.shard import ShardedSequenceIndex
 
     result = ExperimentResult(
         "sharded_service",
@@ -1056,7 +929,7 @@ def exp_sharded_service(
 
         # -- sharded configurations ----------------------------------------
         for num_shards in (1, 2, 4):
-            sharded = ShardedSequenceIndex.open(
+            sharded = SequenceIndex.open(
                 f"{workdir}/sharded-{num_shards}",
                 store_factory,
                 num_shards=num_shards,
@@ -1383,7 +1256,6 @@ ALL_EXPERIMENTS: dict[str, Callable[[float], ExperimentResult]] = {
     "fig6": exp_fig6,
     "fig7": exp_fig7,
     "ablation_cache": exp_ablation_cache,
-    "ablation_planner": exp_ablation_planner,
     "pattern_language": exp_pattern_language,
     "postings_compression": exp_postings_compression,
     "sharded_service": exp_sharded_service,

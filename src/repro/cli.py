@@ -21,9 +21,8 @@ Examples::
     python -m repro diffcheck --seeds 0:500
 
 Stores created with ``--shards N`` carry a ``SHARDS.json`` manifest; every
-other subcommand auto-detects it and opens the store through the
-scatter-gather coordinator, so ``detect``/``stats``/``serve`` work
-identically on single-store and sharded layouts.
+other subcommand auto-detects it through ``SequenceIndex.open``, so every
+query subcommand works identically on single-store and sharded layouts.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.logs.csv_log import read_csv_log, write_csv_log
 from repro.logs.datasets import DATASETS, load_dataset
 from repro.logs.stats import format_distributions, format_profile_table, profile_log
 from repro.logs.xes import read_xes, write_xes
-from repro.shard import ShardedSequenceIndex, is_sharded_store
+from repro.shard import is_sharded_store
 
 _POLICIES = {"sc": Policy.SC, "stnm": Policy.STNM}
 _METHODS = {m.value: m for m in PairMethod}
@@ -53,14 +52,9 @@ def _read_log(path: str):
     return read_csv_log(path)
 
 
-def _open_index(args: argparse.Namespace):
-    """Open the store behind ``args.store`` as the right engine.
-
-    A directory carrying a ``SHARDS.json`` manifest (or a fresh ``--shards N``
-    request) opens through :class:`ShardedSequenceIndex`; everything else is
-    a plain single-store :class:`SequenceIndex`.  Both expose the same query
-    surface, so the subcommands don't care which they got.
-    """
+def _open_index(args: argparse.Namespace) -> SequenceIndex:
+    """Open the store behind ``args.store`` (sharded when it has a manifest
+    or ``--shards N`` asks for one)."""
     policy = _POLICIES[getattr(args, "policy", "stnm")]
     method = _METHODS[args.method] if getattr(args, "method", None) else None
 
@@ -74,22 +68,19 @@ def _open_index(args: argparse.Namespace):
         )
 
     shards = getattr(args, "shards", None)
-    if shards or is_sharded_store(args.store):
-        # The coordinator brings its own thread pool; per-shard process
-        # executors would not compose with the scatter-gather fan-out.
-        return ShardedSequenceIndex.open(
-            args.store,
-            make_store,
-            num_shards=shards,
-            policy=policy,
-            method=method,
-        )
-    executor = None
     workers = getattr(args, "workers", None)
-    if workers and workers > 1:
+    executor = None
+    # Process-pool pair building is for one store: forking from the shard
+    # fan-out threads would not be safe.
+    if workers and workers > 1 and not (shards or is_sharded_store(args.store)):
         executor = ParallelExecutor(backend="process", max_workers=workers)
-    return SequenceIndex(
-        make_store(args.store), policy=policy, method=method, executor=executor
+    return SequenceIndex.open(
+        args.store,
+        make_store,
+        num_shards=shards,
+        policy=policy,
+        method=method,
+        executor=executor,
     )
 
 
@@ -280,12 +271,6 @@ def _sharded_store_stats(args: argparse.Namespace) -> int:
 def cmd_continue(args: argparse.Namespace) -> int:
     pattern = _pattern(args.pattern)
     with _open_index(args) as index:
-        if getattr(index, "num_shards", None):
-            raise SystemExit(
-                "continue requires a single-store index: continuation "
-                "ranking walks prefix state the sharded coordinator "
-                "does not maintain"
-            )
         proposals = index.continuations(
             pattern, mode=args.mode, top_k=args.top_k, within=args.within
         )
@@ -339,8 +324,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         service.start()
         host, port = service.address
-        shards = getattr(index, "num_shards", 1)
-        print(f"serving {args.store} ({shards} shard(s)) on {host}:{port}")
+        print(f"serving {args.store} ({index.num_shards} shard(s)) on {host}:{port}")
         sys.stdout.flush()
         try:
             if args.duration is not None:

@@ -18,12 +18,13 @@ Extension (§7): :meth:`ContinuationExplorer.explore_at` proposes an event to
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.errors import EmptyPatternError
 from repro.core.matches import ContinuationProposal, PatternMatch
-from repro.core.query import QueryProcessor
-from repro.core.tables import IndexTables
+
+#: ``{neighbour: (sum_duration, completions)}`` of one Count/ReverseCount row
+CountRow = Callable[[str], dict[str, tuple[float, int]]]
 
 
 def _sorted_proposals(
@@ -34,11 +35,24 @@ def _sorted_proposals(
 
 
 class ContinuationExplorer:
-    """Implements the three continuation-exploration alternatives."""
+    """Implements the three continuation-exploration alternatives.
 
-    def __init__(self, tables: IndexTables, query: QueryProcessor) -> None:
-        self.tables = tables
-        self.query = query
+    The explorer reads through three callables so it runs unchanged over
+    one store or over the sum of a sharded index's stores: ``counts(a)``
+    is the Count row of ``a`` (its followers), ``reverse_counts(b)`` the
+    ReverseCount row of ``b`` (its predecessors), and
+    ``detect(pattern, partition)`` an uncached exact detection.
+    """
+
+    def __init__(
+        self,
+        counts: CountRow,
+        reverse_counts: CountRow,
+        detect: Callable[[list[str], str | None], list[PatternMatch]],
+    ) -> None:
+        self.counts = counts
+        self.reverse_counts = reverse_counts
+        self.detect = detect
 
     # -- Algorithm 3 ------------------------------------------------------------
 
@@ -60,7 +74,7 @@ class ContinuationExplorer:
         """
         if not pattern:
             raise EmptyPatternError("continuation needs a non-empty pattern")
-        followers = self.tables.get_counts(pattern[-1])
+        followers = self.counts(pattern[-1])
         if candidates is None:
             evaluated = sorted(followers)
         else:
@@ -68,7 +82,7 @@ class ContinuationExplorer:
         proposals: list[ContinuationProposal] = []
         for event in evaluated:
             extended = list(pattern) + [event]
-            matches = self.query.detect(extended, partition)
+            matches = self.detect(extended, partition)
             if within is not None:
                 matches = [
                     match
@@ -102,12 +116,12 @@ class ContinuationExplorer:
             raise EmptyPatternError("continuation needs a non-empty pattern")
         max_completions = None
         for first, second in zip(pattern, pattern[1:]):
-            _, completions = self.tables.get_pair_count((first, second))
+            _, completions = self.counts(first).get(second, (0.0, 0))
             if max_completions is None or completions < max_completions:
                 max_completions = completions
         proposals: list[ContinuationProposal] = []
         for event, (total_duration, completions) in sorted(
-            self.tables.get_counts(pattern[-1]).items()
+            self.counts(pattern[-1]).items()
         ):
             bounded = (
                 completions
@@ -167,17 +181,17 @@ class ContinuationExplorer:
         if position == len(pattern):
             return self.accurate(pattern, partition=partition)
         if position == 0:
-            candidates = set(self.tables.get_reverse_counts(pattern[0]))
+            candidates = set(self.reverse_counts(pattern[0]))
         else:
-            followers = set(self.tables.get_counts(pattern[position - 1]))
-            predecessors = set(self.tables.get_reverse_counts(pattern[position]))
+            followers = set(self.counts(pattern[position - 1]))
+            predecessors = set(self.reverse_counts(pattern[position]))
             candidates = followers & predecessors
         proposals: list[ContinuationProposal] = []
         gap_index = position if position > 0 else 1
         for event in sorted(candidates):
             extended = list(pattern)
             extended.insert(position, event)
-            matches = self.query.detect(extended, partition)
+            matches = self.detect(extended, partition)
             completions = len(matches)
             if completions:
                 total_gap = sum(

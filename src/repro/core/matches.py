@@ -154,6 +154,11 @@ class QueryPlan:
         """Planner cost proxy: the rarest pair bounds the chain frontier."""
         return min(self.cardinalities, default=0)
 
+    @property
+    def proves_empty(self) -> bool:
+        """A pair with zero completions anywhere leaves nothing to join."""
+        return 0 in self.cardinalities
+
     def describe(self) -> str:
         """One line per join step, for ``detect --explain`` output."""
         lines = []
@@ -202,6 +207,11 @@ class PatternPlan:
     def estimated_cost(self) -> int:
         """Planner cost proxy: the rarest group bounds the candidate set."""
         return min(self.cardinalities, default=0)
+
+    @property
+    def proves_empty(self) -> bool:
+        """An empty positive adjacency rules out every match."""
+        return bool(self.groups) and 0 in self.cardinalities
 
     def describe(self) -> str:
         """One line per pruning step, for ``detect --pattern --explain``."""

@@ -49,11 +49,17 @@ from repro.core.matches import (
 from repro.core.pattern import Pattern, find_matches
 from repro.core.policies import Policy
 from repro.core.tables import IndexTables
+from repro.kvstore.cache import LRUCache
 from repro.obs.trace import current_tracer
 
 Chain = tuple[float, ...]
 
 _MISS = object()
+#: decoded Count rows kept warm per processor (bounded by alphabet x live
+#: generations in practice)
+_COUNT_ROWS_CAPACITY = 4096
+
+Cardinalities = Callable[[Sequence[tuple[str, str]]], tuple[int, ...]]
 
 
 class _PlannedPostings:
@@ -202,8 +208,6 @@ class QueryProcessor:
     rows, keyed ``(generation, trace_id)`` -- composite-pattern verification
     re-reads the same candidate traces across queries, and decoding a long
     sequence document dominates the verify stage when served cold.
-    ``planner_enabled=False`` pins every detection to naive left-to-right
-    evaluation (the ablation baseline and the prefix path).
     """
 
     def __init__(
@@ -212,20 +216,20 @@ class QueryProcessor:
         postings_cache=None,
         sequence_cache=None,
         generation: Callable[[], int] | None = None,
-        planner_enabled: bool = True,
     ) -> None:
         self.tables = tables
         self.postings_cache = postings_cache
         self.sequence_cache = sequence_cache
         self._generation = generation if generation is not None else lambda: 0
-        self.planner_enabled = planner_enabled
         # Decoded Count rows keyed (generation, first_event).  Decoding a
         # Count document is O(|alphabet|) -- too expensive to repeat per
         # plan() -- while the rows themselves are bounded by the alphabet,
         # so the planner keeps them warm per write generation (the key
         # embeds the generation, exactly like the postings cache, so an
-        # index update invalidates by construction).
-        self._count_rows: dict[tuple[int, str], dict] = {}
+        # index update invalidates by construction).  Every query thread
+        # shares this LRU, so it is bounded and locked; dead generations
+        # age out of it.
+        self._count_rows = LRUCache(_COUNT_ROWS_CAPACITY)
 
     def _bump(self, name: str, amount: int = 1) -> None:
         metrics = getattr(self.tables.store, "metrics", None)
@@ -301,16 +305,6 @@ class QueryProcessor:
             extra_pairs=tuple(row(pair) for pair in extras),
         )
 
-    def _pair_stats(self, first: str, second: str) -> PairStats:
-        total_duration, completions = self.tables.get_pair_count((first, second))
-        last = self.tables.get_last_completion((first, second))
-        return PairStats(
-            pair=(first, second),
-            completions=completions,
-            total_duration=total_duration,
-            last_completion=last,
-        )
-
     # -- planning ----------------------------------------------------------------
 
     def plan(
@@ -324,79 +318,34 @@ class QueryProcessor:
         everywhere).  The join order starts at the rarest pair and grows
         the covered window towards whichever adjacent pair is cheaper.
         """
-        if len(pattern) < 2:
-            raise EmptyPatternError("planning needs a pattern of length >= 2")
-        span = current_tracer().span("plan")
-        with span:
-            pairs = tuple(zip(pattern, pattern[1:]))
-            cardinalities = self._cardinalities(pairs)
-            natural = tuple(range(len(pairs)))
-            order = (
-                _rarest_first_order(cardinalities) if self.planner_enabled else natural
-            )
-            if span.enabled:
-                span.add("pairs", len(pairs))
-                span.add("min_cardinality", min(cardinalities, default=0))
-            return QueryPlan(
-                pattern=tuple(pattern),
-                pairs=pairs,
-                cardinalities=cardinalities,
-                order=order,
-                reordered=order != natural,
-                partition=partition,
-            )
+        return build_plan(pattern, self.cardinalities, partition)
 
     def cardinalities(
         self, pairs: Sequence[tuple[str, str]]
     ) -> tuple[int, ...]:
-        """Exact ``Count``-table completion counts for arbitrary pairs.
+        """Exact completion counts per pair, through the Count-row cache.
 
-        Public for the scatter-gather coordinator, which sums each shard's
-        cardinalities into the merged counts a global plan is built from.
+        Rows fetched by this call are read back from a local dict, never
+        from the shared cache: another thread may evict them between the
+        insert and the read.
         """
-        return self._cardinalities(tuple(pairs))
-
-    def plan_from_cardinalities(
-        self,
-        pattern: Sequence[str],
-        cardinalities: Sequence[int],
-        partition: str | None = "",
-    ) -> QueryPlan:
-        """Build a plan from externally supplied (e.g. cluster-wide merged)
-        cardinalities instead of this store's own ``Count`` rows."""
-        if len(pattern) < 2:
-            raise EmptyPatternError("planning needs a pattern of length >= 2")
-        pairs = tuple(zip(pattern, pattern[1:]))
-        if len(cardinalities) != len(pairs):
-            raise ValueError("need one cardinality per consecutive pair")
-        cards = tuple(int(c) for c in cardinalities)
-        natural = tuple(range(len(pairs)))
-        order = _rarest_first_order(cards) if self.planner_enabled else natural
-        return QueryPlan(
-            pattern=tuple(pattern),
-            pairs=pairs,
-            cardinalities=cards,
-            order=order,
-            reordered=order != natural,
-            partition=partition,
-        )
-
-    def _cardinalities(self, pairs: tuple[tuple[str, str], ...]) -> tuple[int, ...]:
-        """Exact completion counts per pair, through the Count-row cache."""
         generation = self._generation()
-        missing = [
-            first
-            for first in dict.fromkeys(first for first, _ in pairs)
-            if (generation, first) not in self._count_rows
-        ]
+        rows: dict[str, dict] = {}
+        missing: list[str] = []
+        for first in dict.fromkeys(first for first, _ in pairs):
+            row = self._count_rows.get((generation, first), _MISS)
+            if row is _MISS:
+                missing.append(first)
+            else:
+                rows[first] = row
         if missing:
-            if len(self._count_rows) > 4096:  # dead generations age out here
-                self._count_rows.clear()
-            for first, row in self.tables.get_count_rows(missing).items():
-                self._count_rows[(generation, first)] = row
+            fetched = self.tables.get_count_rows(missing)
+            for first, row in fetched.items():
+                self._count_rows.put((generation, first), row)
+            rows.update(fetched)
         out = []
         for first, second in pairs:
-            stats = self._count_rows[(generation, first)].get(second)
+            stats = rows[first].get(second)
             out.append(int(stats[1]) if stats is not None else 0)
         return tuple(out)
 
@@ -421,10 +370,9 @@ class QueryProcessor:
         long (a CEP-style WITHIN window); the window is also pushed into the
         planned chain join, where per-completion span filtering is exact.
         ``plan`` overrides planning with a precomputed
-        :class:`~repro.core.matches.QueryPlan` (the scatter-gather
-        coordinator plans once from merged cardinalities and hands every
-        shard the same plan); the plan never changes the result, only the
-        join order.
+        :class:`~repro.core.matches.QueryPlan` (a sharded index plans once
+        from cardinalities summed over its shards and hands every shard the
+        same plan); the plan never changes the result, only the join order.
         """
         if len(pattern) == 0:
             raise EmptyPatternError("cannot detect an empty pattern")
@@ -435,7 +383,7 @@ class QueryProcessor:
         elif len(pattern) == 1:
             matches = self._detect_single(pattern[0])
         else:
-            chains = self._chain(pattern, partition, within=within, plan=plan)
+            chains = self._chain_planned(pattern, partition, within=within, plan=plan)
             span = current_tracer().span("materialize")
             with span:
                 matches = [
@@ -476,7 +424,7 @@ class QueryProcessor:
                 for activity, _ in seq
                 if activity == pattern[0]
             )
-        chains = self._chain(pattern, partition, within=within, plan=plan)
+        chains = self._chain_planned(pattern, partition, within=within, plan=plan)
         if within is None:
             return sum(len(trace_chains) for trace_chains in chains.values())
         return sum(
@@ -494,7 +442,8 @@ class QueryProcessor:
         The paper notes these come for free: Algorithm 2 materialises each
         prefix's chains on the way to the full pattern.  Prefix snapshots
         only exist under left-to-right evaluation, so this path keeps the
-        naive order as an explicit plan regardless of the planner setting.
+        naive order as an explicit plan; it doubles as the reference the
+        planner is tested against.
         """
         if len(pattern) < 2:
             raise EmptyPatternError("prefix detection needs a pattern of length >= 2")
@@ -529,7 +478,7 @@ class QueryProcessor:
             )
         if plan is None:
             plan = self.plan(pattern, partition)
-            if 0 in plan.cardinalities:
+            if plan.proves_empty:
                 return []
         self._note_executed(plan)
         postings = _PlannedPostings(self, plan)
@@ -594,79 +543,10 @@ class QueryProcessor:
         are skipped entirely -- a forbidden pair with zero count must not
         prune the query -- and Kleene elements prune like their plain
         selves (a single occurrence satisfies ``+``, so only the base
-        pair is required).  Groups intersect cheapest-first under the
-        planner, exactly like pair posting lists in :meth:`plan`.
+        pair is required).  Groups intersect cheapest-first, exactly like
+        pair posting lists in :meth:`plan`.
         """
-        span = current_tracer().span("plan")
-        with span:
-            groups = self.pattern_groups(pattern)
-            flat = tuple(pair for group in groups for pair in group)
-            flat_cards = self._cardinalities(flat) if flat else ()
-            cardinalities: list[int] = []
-            offset = 0
-            for group in groups:
-                cardinalities.append(sum(flat_cards[offset : offset + len(group)]))
-                offset += len(group)
-            natural = tuple(range(len(groups)))
-            if self.planner_enabled:
-                order = tuple(
-                    sorted(natural, key=lambda i: (cardinalities[i], i))
-                )
-            else:
-                order = natural
-            if span.enabled:
-                span.add("groups", len(groups))
-                span.add("min_cardinality", min(cardinalities, default=0))
-            return PatternPlan(
-                pattern=pattern,
-                groups=tuple(groups),
-                cardinalities=tuple(cardinalities),
-                order=order,
-                reordered=order != natural,
-                negated=tuple(str(e) for e in pattern.elements if e.negated),
-                partition=partition,
-            )
-
-    def pattern_groups(
-        self, pattern: Pattern
-    ) -> tuple[tuple[tuple[str, str], ...], ...]:
-        """The pruning groups of ``pattern`` (deterministic, plan-free)."""
-        elements = pattern.elements
-        positives = pattern.positive_indices
-        return tuple(
-            tuple(
-                (a, b)
-                for a in elements[left].types
-                for b in elements[right].types
-            )
-            for left, right in zip(positives, positives[1:])
-        )
-
-    def plan_pattern_from_cardinalities(
-        self,
-        pattern: Pattern,
-        cardinalities: Sequence[int],
-        partition: str | None = "",
-    ) -> PatternPlan:
-        """Build a composite plan from externally merged group cardinalities."""
-        groups = self.pattern_groups(pattern)
-        if len(cardinalities) != len(groups):
-            raise ValueError("need one cardinality per pruning group")
-        cards = tuple(int(c) for c in cardinalities)
-        natural = tuple(range(len(groups)))
-        if self.planner_enabled:
-            order = tuple(sorted(natural, key=lambda i: (cards[i], i)))
-        else:
-            order = natural
-        return PatternPlan(
-            pattern=pattern,
-            groups=groups,
-            cardinalities=cards,
-            order=order,
-            reordered=order != natural,
-            negated=tuple(str(e) for e in pattern.elements if e.negated),
-            partition=partition,
-        )
+        return build_pattern_plan(pattern, self.cardinalities, partition)
 
     def detect_pattern(
         self,
@@ -688,7 +568,7 @@ class QueryProcessor:
         """
         if plan is None:
             plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
+            if plan.proves_empty:
                 return []
         self._note_executed(plan)
         candidates = self._pattern_candidates(plan)
@@ -727,7 +607,7 @@ class QueryProcessor:
         """
         if plan is None:
             plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
+            if plan.proves_empty:
                 return 0
         self._note_executed(plan)
         candidates = self._pattern_candidates(plan)
@@ -753,7 +633,7 @@ class QueryProcessor:
         """
         if plan is None:
             plan = self.plan_pattern(pattern, partition)
-            if plan.groups and 0 in plan.cardinalities:
+            if plan.proves_empty:
                 return []
         self._note_executed(plan)
         candidates = self._pattern_candidates(plan)
@@ -849,18 +729,6 @@ class QueryProcessor:
                     matches.append(PatternMatch(trace_id, (ts,)))
         return matches
 
-    def _chain(
-        self,
-        pattern: Sequence[str],
-        partition: str | None,
-        within: float | None = None,
-        plan: QueryPlan | None = None,
-    ) -> dict[str, list[Chain]]:
-        """Algorithm 2: join consecutive pair entries on shared timestamps."""
-        if not self.planner_enabled and plan is None:
-            return self._chain_left_to_right(pattern, partition)
-        return self._chain_planned(pattern, partition, within=within, plan=plan)
-
     def _note_executed(self, plan: QueryPlan) -> None:
         if plan.reordered:
             self._bump("planner_reorders")
@@ -898,7 +766,8 @@ class QueryProcessor:
         within: float | None = None,
         plan: QueryPlan | None = None,
     ) -> dict[str, list[Chain]]:
-        """Planner execution: rarest pair first, bidirectional extension.
+        """Algorithm 2 under the plan: rarest pair first, bidirectional
+        extension, joining pair entries on shared timestamps.
 
         Produces exactly the left-to-right result (greedy non-overlapping
         pairs make both endpoints of a completion unique within a trace, so
@@ -907,7 +776,7 @@ class QueryProcessor:
         """
         if plan is None:
             plan = self.plan(pattern, partition)
-            if 0 in plan.cardinalities:
+            if plan.proves_empty:
                 # Count is global and exact: a zero-cardinality pair has no
                 # postings in any partition, so the chain is dead on arrival.
                 return {}
@@ -1056,10 +925,79 @@ class QueryProcessor:
         if len(pattern) == 1:
             return sorted({m.trace_id for m in self._detect_single(pattern[0])})
         plan = self.plan(pattern, partition)
-        if 0 in plan.cardinalities:
+        if plan.proves_empty:
             return []
         postings = _PlannedPostings(self, plan)
         return sorted(self._intersect_candidates(plan, postings))
+
+
+def build_plan(
+    pattern: Sequence[str], cardinalities: Cardinalities, partition: str | None = ""
+) -> QueryPlan:
+    """The rarest-pair-first join plan of a plain pattern.
+
+    ``cardinalities`` maps the pattern's consecutive pairs to their exact
+    completion counts -- one store's Count rows, or their sum across the
+    shards of a partitioned index.
+    """
+    if len(pattern) < 2:
+        raise EmptyPatternError("planning needs a pattern of length >= 2")
+    span = current_tracer().span("plan")
+    with span:
+        pairs = tuple(zip(pattern, pattern[1:]))
+        cards = cardinalities(pairs)
+        order = _rarest_first_order(cards)
+        if span.enabled:
+            span.add("pairs", len(pairs))
+            span.add("min_cardinality", min(cards, default=0))
+        return QueryPlan(
+            pattern=tuple(pattern),
+            pairs=pairs,
+            cardinalities=cards,
+            order=order,
+            reordered=order != tuple(range(len(pairs))),
+            partition=partition,
+        )
+
+
+def build_pattern_plan(
+    pattern: Pattern, cardinalities: Cardinalities, partition: str | None = ""
+) -> PatternPlan:
+    """The cheapest-group-first pruning plan of a composite pattern.
+
+    A group's cardinality is the sum of its branch pairs' counts
+    (alternation cardinality is additive); see
+    :meth:`QueryProcessor.plan_pattern`.
+    """
+    span = current_tracer().span("plan")
+    with span:
+        elements = pattern.elements
+        positives = pattern.positive_indices
+        groups = tuple(
+            tuple((a, b) for a in elements[left].types for b in elements[right].types)
+            for left, right in zip(positives, positives[1:])
+        )
+        flat = tuple(pair for group in groups for pair in group)
+        flat_cards = cardinalities(flat) if flat else ()
+        cards: list[int] = []
+        offset = 0
+        for group in groups:
+            cards.append(sum(flat_cards[offset : offset + len(group)]))
+            offset += len(group)
+        natural = tuple(range(len(groups)))
+        order = tuple(sorted(natural, key=lambda i: (cards[i], i)))
+        if span.enabled:
+            span.add("groups", len(groups))
+            span.add("min_cardinality", min(cards, default=0))
+        return PatternPlan(
+            pattern=pattern,
+            groups=groups,
+            cardinalities=tuple(cards),
+            order=order,
+            reordered=order != natural,
+            negated=tuple(str(e) for e in elements if e.negated),
+            partition=partition,
+        )
 
 
 def _rarest_first_order(cardinalities: tuple[int, ...]) -> tuple[int, ...]:

@@ -48,34 +48,15 @@ def _index_table(partition: str) -> str:
 class IndexTables:
     """Typed accessors over the store tables used by builder and queries.
 
-    ``batched_reads`` routes multi-key accessors through the store's
+    Multi-key accessors go through the store's
     :meth:`~repro.kvstore.api.KeyValueStore.multi_get` (one snapshot, shared
-    bloom/block work per batch); disabling it falls back to a loop of
-    point ``get`` calls with identical results -- the knob exists for the
-    planner ablation benchmark, not for production tuning.
-
-    ``postings_codec`` stores Index entries as delta/varint-packed chunks
-    (:mod:`repro.core.postings`) instead of raw tuples.  Reads decode both
-    representations transparently, so the knob only affects *new* writes;
-    disabling it keeps the legacy tuple format (ablation benchmarks, or
-    writing stores an old reader must parse byte-for-byte).
+    bloom/block work per batch).  Index entries are written as
+    delta/varint-packed chunks (:mod:`repro.core.postings`); reads also
+    understand the raw-tuple entries older stores hold.
     """
 
-    def __init__(
-        self,
-        store: KeyValueStore,
-        batched_reads: bool = True,
-        postings_codec: bool = True,
-    ) -> None:
+    def __init__(self, store: KeyValueStore) -> None:
         self.store = store
-        self.batched_reads = batched_reads
-        self.postings_codec = postings_codec
-
-    def _multi_get(self, table: str, keys: list, default) -> list:
-        """Batched (or, for ablations, looped) point reads on one table."""
-        if self.batched_reads:
-            return self.store.multi_get(table, keys, default)
-        return [self.store.get(table, key, default) for key in keys]
 
     # -- schema ------------------------------------------------------------
 
@@ -161,13 +142,11 @@ class IndexTables:
         entries: list[tuple[str, float, float]],
         partition: str = _DEFAULT_PARTITION,
     ) -> None:
-        if self.postings_codec and entries:
-            # One chunk per append batch: the list_append merge makes the
-            # stored value a list of chunks (possibly mixed with legacy
-            # tuples from before the codec), spliced back on read.
-            self.store.merge(_index_table(partition), pair, [encode_postings(entries)])
-        else:
-            self.store.merge(_index_table(partition), pair, entries)
+        # One chunk per append batch: the list_append merge makes the
+        # stored value a list of chunks (possibly mixed with legacy tuples
+        # from before the codec), spliced back on read.
+        chunks = [encode_postings(entries)] if entries else []
+        self.store.merge(_index_table(partition), pair, chunks)
 
     def _index_tables_for(self, partition: str | None) -> list[str]:
         """Physical Index tables a read targets, in union (partition) order.
@@ -209,7 +188,7 @@ class IndexTables:
             pair: [] for pair in unique
         }
         for table in self._index_tables_for(partition):
-            rows = self._multi_get(table, unique, [])
+            rows = self.store.multi_get(table, unique, [])
             for pair, raw in zip(unique, rows):
                 merged[pair].extend(decode_index_value(raw))
         return merged
@@ -253,7 +232,7 @@ class IndexTables:
     def get_count_rows(self, firsts: list[str]) -> dict[str, dict]:
         """Raw Count documents for many first events, in one batched read."""
         unique = list(dict.fromkeys(firsts))
-        rows = self._multi_get(COUNT, unique, {})
+        rows = self.store.multi_get(COUNT, unique, {})
         return dict(zip(unique, rows))
 
     def get_pair_counts(
@@ -290,7 +269,7 @@ class IndexTables:
     ) -> dict[tuple[str, str], dict[str, float]]:
         """LastChecked documents for many pairs in one batched read."""
         unique = list(dict.fromkeys(pairs))
-        rows = self._multi_get(LAST_CHECKED, unique, {})
+        rows = self.store.multi_get(LAST_CHECKED, unique, {})
         return {pair: dict(raw) for pair, raw in zip(unique, rows)}
 
     def get_last_completion(self, pair: tuple[str, str]) -> float | None:

@@ -41,7 +41,6 @@ from repro.ingest.convergence import index_snapshot
 from repro.ingest.feed import FeedWriter
 from repro.ingest.ingester import EngineSink, TailIngester
 from repro.kvstore.lsm import LSMStore
-from repro.shard import ShardedSequenceIndex
 
 __all__ = ["IngestReplayFailure", "generate_feed_events", "run_ingest_replay"]
 
@@ -83,24 +82,17 @@ def generate_feed_events(seed: int, total: int | None = None) -> list[Event]:
     return events
 
 
-def _open_engine(path: str, shards: int | None) -> Any:
-    if shards:
-        return ShardedSequenceIndex.open(path, LSMStore, num_shards=shards)
-    return SequenceIndex(LSMStore(path))
+def _crash_engine(engine: SequenceIndex) -> None:
+    """Process-kill the engine: drop every store's handles unflushed.
 
-
-def _crash_engine(engine: Any) -> None:
-    """Process-kill the engine: drop every underlying store's handles.
-
-    Stores are left exactly as their last completed I/O left them; only
-    the coordinator's worker threads are reaped (a real kill takes those
-    with the process, but this harness stays in-process).
+    Stores are left exactly as their last completed I/O left them.  The
+    engine close that follows only reaps in-process bookkeeping (registry
+    entry, fan-out threads) that a real kill takes with the process; the
+    poisoned stores ignore it.
     """
-    for shard in getattr(engine, "shards", None) or [engine]:
+    for shard in engine.shards:
         simulate_crash(shard.store)
-    executor = getattr(engine, "executor", None)
-    if executor is not None and getattr(engine, "_owns_executor", False):
-        executor.close()
+    engine.close()
 
 
 def _first_divergence(streamed: dict, clean: dict) -> str:
@@ -160,7 +152,7 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
             raise SimulatedCrash(f"ingest kill at {phase} of batch {batch_no}")
 
     # -- phase 1: stream until the seeded kill ------------------------------------
-    engine = _open_engine(stream_path, shards)
+    engine = SequenceIndex.open(stream_path, LSMStore, num_shards=shards)
     ingester = TailIngester(
         feed_path,
         EngineSink(engine, partition=partition),
@@ -183,7 +175,7 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
     _crash_engine(engine)
 
     # -- phase 2: reopen and replay from the durable checkpoint -------------------
-    engine = _open_engine(stream_path, shards)
+    engine = SequenceIndex.open(stream_path, LSMStore, num_shards=shards)
     try:
         ingester = TailIngester(
             feed_path,
@@ -205,7 +197,7 @@ def _run(seed: int, workdir: Path, total_events: int | None) -> dict[str, Any]:
         engine.close()
 
     # -- phase 3: clean one-shot batch build over the same feed -------------------
-    clean_engine = _open_engine(clean_path, shards)
+    clean_engine = SequenceIndex.open(clean_path, LSMStore, num_shards=shards)
     try:
         clean_engine.update(events, partition)
         clean = index_snapshot(clean_engine)

@@ -4,7 +4,7 @@ The subsystem in one picture::
 
     producer --append--> feed.jsonl --tail--> TailIngester --micro-batch-->
         EngineSink (in-process engine)  or  ServiceSink (`ingest` RPC)
-        --> SequenceIndex.update() / ShardedSequenceIndex.update()
+        --> SequenceIndex.update() (one store or N shards)
         ... while detect()/count()/contains() keep serving
 
 * :mod:`repro.ingest.feed` -- the JSONL feed format, append-stamped for

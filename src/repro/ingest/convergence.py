@@ -15,17 +15,20 @@ freedom and nothing else:
   per-trace ``LastChecked`` tails are order-insensitive sums/maxima --
   compared verbatim.
 
-Works over a single-store engine or a sharded coordinator (shard snapshots
-merge; traces are disjoint across shards).  The ingest crash-replay
+Works over any shard count (shard snapshots merge; traces are disjoint
+across shards).  The ingest crash-replay
 harness (:mod:`repro.faults.ingest`) asserts snapshot equality between a
 killed-and-replayed streaming build and a clean batch build.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.postings import decode_index_value
+
+if TYPE_CHECKING:
+    from repro.core.engine import SequenceIndex
 
 __all__ = ["index_snapshot"]
 
@@ -41,21 +44,19 @@ def _partition_of(table_name: str) -> str | None:
     return None
 
 
-def index_snapshot(engine: Any) -> dict[str, Any]:
+def index_snapshot(engine: SequenceIndex) -> dict[str, Any]:
     """Canonical logical contents of an engine's index tables.
 
-    ``engine`` is a :class:`~repro.core.engine.SequenceIndex` or a
-    :class:`~repro.shard.index.ShardedSequenceIndex`; snapshots of engines
-    holding the same logical index compare equal regardless of batch
-    grouping, storage codec, compression or shard count.
+    Snapshots of engines holding the same logical index compare equal
+    regardless of batch grouping, storage codec, compression or shard
+    count.
     """
-    shards = list(getattr(engine, "shards", None) or [engine])
     seq: dict[str, tuple] = {}
     index: dict[tuple[str, tuple[str, str]], list] = {}
     counts: dict[tuple[str, str], list[float]] = {}
     reverse: dict[tuple[str, str], list[float]] = {}
     checked: dict[tuple[str, str], dict[str, float]] = {}
-    for shard in shards:
+    for shard in engine.shards:
         store = shard.store
         for trace_id, events in shard.tables.iter_sequences():
             seq[trace_id] = tuple(events)

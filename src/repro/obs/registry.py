@@ -154,11 +154,11 @@ METRIC_CATALOG: dict[str, tuple[str, str]] = {
         "counter",
         "Queries that exceeded the slow-query threshold.",
     ),
-    # -- sharded coordinator ------------------------------------------------
-    "repro_shard_count": ("gauge", "Shards behind the sharded index."),
+    # -- shards -------------------------------------------------------------
+    "repro_shard_count": ("gauge", "Shards behind the index."),
     "repro_shard_fanout_total": (
         "counter",
-        "Scatter-gather fan-outs issued (one per coordinator query stage).",
+        "Scatter-gather fan-outs issued (one per sharded query stage).",
     ),
     "repro_shard_fanout_deadline_total": (
         "counter",

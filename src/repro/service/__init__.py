@@ -1,9 +1,7 @@
 """The query service: a multi-client socket front-end over an index.
 
-``repro.service`` serves any engine -- a single-store
-:class:`~repro.core.engine.SequenceIndex` or a
-:class:`~repro.shard.index.ShardedSequenceIndex` -- over a small
-length-prefixed JSON protocol (:mod:`repro.service.protocol`).  The server
+``repro.service`` serves a :class:`~repro.core.engine.SequenceIndex` --
+one store or N shards -- over a small length-prefixed JSON protocol (:mod:`repro.service.protocol`).  The server
 (:mod:`repro.service.server`) is a socket + threadpool design with
 admission control (bounded in-flight queries), per-request deadlines that
 cancel shard fan-outs, bounded backpressure on the ingest path, and a

@@ -1,11 +1,9 @@
 """The multi-client query server.
 
 ``SequenceService`` accepts TCP connections and serves the protocol of
-:mod:`repro.service.protocol` over any engine exposing the
-``detect``/``count``/``contains``/``update`` surface -- the single-store
-:class:`~repro.core.engine.SequenceIndex` and the sharded
-:class:`~repro.shard.index.ShardedSequenceIndex` both qualify, so the
-benchmark can run the exact same traffic against either.
+:mod:`repro.service.protocol` over a :class:`~repro.core.engine.SequenceIndex`
+of any shard count, so the benchmark can run the exact same traffic against
+one store or N.
 
 Control planes:
 
@@ -15,10 +13,14 @@ Control planes:
   never queue unboundedly behind slow queries.
 * **per-request deadlines** -- ``deadline_ms`` (or the server default) is
   converted to an absolute instant when the request is admitted.  Expired
-  deadlines short-circuit before execution; a sharded engine receives the
-  instant and cancels its shard fan-out mid-flight
+  deadlines short-circuit before execution; the engine receives the
+  instant and a sharded one cancels its shard fan-out mid-flight
   (:class:`~repro.core.errors.DeadlineExceeded` maps to the ``deadline``
   error code).
+* **error classification** -- a request the protocol boundary cannot
+  parse, or one the engine refuses with a library error
+  (:class:`~repro.core.errors.ReproError`), is a ``bad_request``; any
+  other exception is a server bug: it is logged and answered ``internal``.
 * **ingest backpressure** -- writes take a separate, smaller token pool
   (``max_ingest_inflight``) with a bounded wait (``ingest_wait_s``): a
   write burst slows producers down instead of starving reads, and waits
@@ -28,41 +30,31 @@ Control planes:
   every connection thread and closes every socket; no thread or fd leaks
   (the tier-1 smoke test counts both).
 
-Single-store engines serialize ``update()`` calls under a server-side lock
-(the incremental builder's read-modify-write bookkeeping is not safe under
-concurrent batches); the sharded engine already serializes per shard and
-ingests cross-shard batches concurrently.
+The engine serializes ``update()`` calls per shard itself (the
+incremental builder's read-modify-write bookkeeping is not safe under
+concurrent batches) and ingests cross-shard batches concurrently.
 """
 
 from __future__ import annotations
 
-import inspect
+import logging
 import socket
 import threading
 import time
 from typing import Any, Callable
 
-from repro.core.errors import (
-    DeadlineExceeded,
-    EmptyPatternError,
-    PatternSyntaxError,
-    PolicyMismatchError,
-    TraceOrderError,
-)
+from repro.core.builder import UpdateStats
+from repro.core.engine import SequenceIndex
+from repro.core.errors import DeadlineExceeded, ReproError
 from repro.core.model import Event
 from repro.ingest.ingester import drop_indexed
 from repro.obs.registry import REGISTRY
 from repro.service.protocol import ProtocolError, recv_frame, send_frame
 
-_BAD_REQUEST_ERRORS = (
-    EmptyPatternError,
-    PatternSyntaxError,
-    PolicyMismatchError,
-    TraceOrderError,
-    ValueError,
-    TypeError,
-    KeyError,
-)
+_LOGGER = logging.getLogger("repro.service")
+
+#: what a malformed request field raises while being parsed
+_PARSE_ERRORS = (ValueError, TypeError, KeyError)
 
 
 class _ServiceMetrics:
@@ -107,7 +99,7 @@ class SequenceService:
 
     def __init__(
         self,
-        engine: Any,
+        engine: SequenceIndex,
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 8,
@@ -127,14 +119,6 @@ class SequenceService:
         self._ingest_slots = threading.BoundedSemaphore(max_ingest_inflight)
         self._ingest_wait_s = ingest_wait_s
         self._default_deadline_ms = default_deadline_ms
-        self._supports_deadline = (
-            "deadline" in inspect.signature(engine.detect).parameters
-        )
-        # The sharded engine serializes ingest per shard itself; single-store
-        # engines need one writer at a time.
-        self._ingest_lock = (
-            None if getattr(engine, "num_shards", None) else threading.Lock()
-        )
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_lock = threading.Lock()
@@ -304,26 +288,27 @@ class SequenceService:
             )
         self.metrics.bump("active_requests")
         try:
-            deadline = self._deadline_from(request)
+            try:
+                deadline = self._deadline_from(request)
+                call = self._parse_query(op, request)
+            except _PARSE_ERRORS as exc:
+                self.metrics.bump("errors")
+                return _error(request_id, "bad_request", str(exc))
             if deadline is not None and time.monotonic() >= deadline:
                 self.metrics.bump("deadline_exceeded")
                 return _error(
                     request_id, "deadline", "deadline expired before execution"
                 )
             try:
-                result = self._execute(op, request, deadline)
+                result = call(deadline)
             except DeadlineExceeded as exc:
                 self.metrics.bump("deadline_exceeded")
                 return _error(request_id, "deadline", str(exc))
-            except _BAD_REQUEST_ERRORS as exc:
-                self.metrics.bump("errors")
-                return _error(request_id, "bad_request", str(exc))
             except Exception as exc:
-                self.metrics.bump("errors")
-                return _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
+                return self._failure(request_id, op, exc)
             if deadline is not None and time.monotonic() > deadline:
-                # The engine finished after the instant (e.g. single-store
-                # engines cannot cancel mid-join); report the miss honestly.
+                # The engine finished after the instant (e.g. a one-shard
+                # engine cannot cancel mid-join); report the miss honestly.
                 self.metrics.bump("deadline_exceeded")
                 return _error(request_id, "deadline", "deadline expired")
             return {"id": request_id, "ok": True, "result": result}
@@ -331,40 +316,61 @@ class SequenceService:
             self.metrics.bump("active_requests", -1)
             self._query_slots.release()
 
-    def _execute(
-        self, op: str, request: dict[str, Any], deadline: float | None
-    ) -> Any:
-        pattern = request.get("pattern")
-        partition = request.get("partition", "")
-        kwargs: dict[str, Any] = {}
-        if self._supports_deadline:
-            kwargs["deadline"] = deadline
+    def _parse_query(
+        self, op: str, request: dict[str, Any]
+    ) -> Callable[[float | None], Any]:
+        """Validate a query request; the returned call runs it by deadline."""
+        engine = self.engine
         if op == "stats":
-            stats_fn = getattr(self.engine, "storage_stats", None)
-            if stats_fn is None:
-                store = getattr(self.engine, "store", None)
-                stats_fn = getattr(store, "storage_stats", None)
-            # In-memory backends keep no storage accounting; report shape only.
-            return stats_fn() if stats_fn is not None else {}
-        if not isinstance(pattern, (str, list)):
+            return lambda deadline: engine.storage_stats()
+        pattern = request.get("pattern")
+        if isinstance(pattern, list):
+            if not all(isinstance(activity, str) for activity in pattern):
+                raise ValueError("pattern activities must be strings")
+        elif not isinstance(pattern, str):
             raise ValueError("pattern must be a list of activities or an expression")
+        partition = request.get("partition", "")
+        if partition is not None and not isinstance(partition, str):
+            raise ValueError("partition must be a string or null")
+        within = _opt_float(request.get("within"))
+        if within is not None and within < 0:
+            raise ValueError("within must be non-negative")
+        if within is not None and isinstance(pattern, str):
+            raise ValueError(
+                "composite patterns carry their window inside the expression "
+                "(WITHIN ...); within applies to plain patterns only"
+            )
         if op == "detect":
-            matches = self.engine.detect(
-                pattern,
-                partition,
-                max_matches=_opt_int(request.get("max_matches")),
-                within=_opt_float(request.get("within")),
-                **kwargs,
-            )
-            return [
-                {"trace_id": m.trace_id, "timestamps": list(m.timestamps)}
-                for m in matches
-            ]
+            max_matches = _opt_int(request.get("max_matches"))
+
+            def detect(deadline: float | None) -> list[dict[str, Any]]:
+                matches = engine.detect(
+                    pattern,
+                    partition,
+                    max_matches=max_matches,
+                    within=within,
+                    deadline=deadline,
+                )
+                return [
+                    {"trace_id": m.trace_id, "timestamps": list(m.timestamps)}
+                    for m in matches
+                ]
+
+            return detect
         if op == "count":
-            return self.engine.count(
-                pattern, partition, within=_opt_float(request.get("within")), **kwargs
+            return lambda deadline: engine.count(
+                pattern, partition, within=within, deadline=deadline
             )
-        return self.engine.contains(pattern, partition, **kwargs)
+        return lambda deadline: engine.contains(pattern, partition, deadline=deadline)
+
+    def _failure(self, request_id: Any, op: str, exc: Exception) -> dict[str, Any]:
+        """Answer an engine-side failure: library errors blame the request,
+        anything else is a server bug."""
+        self.metrics.bump("errors")
+        if isinstance(exc, ReproError):
+            return _error(request_id, "bad_request", str(exc))
+        _LOGGER.error("internal error serving %r", op, exc_info=exc)
+        return _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
 
     def _handle_ingest(
         self, request_id: Any, request: dict[str, Any]
@@ -376,30 +382,39 @@ class SequenceService:
             )
         self.metrics.bump("active_requests")
         try:
-            events = request.get("events")
-            if not isinstance(events, list) or not events:
-                raise ValueError("ingest needs a non-empty events list")
-            batch = [
-                Event(str(trace_id), str(activity), float(timestamp))
-                for trace_id, activity, timestamp in events
-            ]
-            partition = request.get("partition", "")
-            # ``dedup`` is the streaming ingester's replay filter: events
-            # at or before their trace's indexed tail are dropped instead
-            # of tripping the builder's trace-order check, making crash
-            # replay (and at-least-once producers) idempotent.
-            deduped = 0
-            if self._ingest_lock is not None:
-                with self._ingest_lock:
-                    if request.get("dedup"):
-                        batch, deduped = drop_indexed(
-                            batch, self.engine.indexed_tail
-                        )
-                    stats = self._apply_ingest(batch, partition)
-            else:
+            try:
+                events = request.get("events")
+                if not isinstance(events, list) or not events:
+                    raise ValueError("ingest needs a non-empty events list")
+                batch = [
+                    Event(str(trace_id), str(activity), float(timestamp))
+                    for trace_id, activity, timestamp in events
+                ]
+                partition = request.get("partition", "")
+                if not isinstance(partition, str):
+                    raise ValueError("partition must be a string")
+            except _PARSE_ERRORS as exc:
+                self.metrics.bump("errors")
+                return _error(request_id, "bad_request", str(exc))
+            try:
+                # ``dedup`` is the streaming ingester's replay filter:
+                # events at or before their trace's indexed tail are
+                # dropped instead of tripping the builder's trace-order
+                # check, making crash replay (and at-least-once producers)
+                # idempotent.
+                deduped = 0
                 if request.get("dedup"):
                     batch, deduped = drop_indexed(batch, self.engine.indexed_tail)
-                stats = self._apply_ingest(batch, partition)
+                # An empty post-dedup batch skips update() entirely so a
+                # pure replay does not bump write generations and evict
+                # warm caches.
+                stats = (
+                    self.engine.update(batch, partition)
+                    if batch
+                    else UpdateStats(partition=partition)
+                )
+            except Exception as exc:
+                return self._failure(request_id, "ingest", exc)
             return {
                 "id": request_id,
                 "ok": True,
@@ -411,27 +426,9 @@ class SequenceService:
                     "pairs_created": stats.pairs_created,
                 },
             }
-        except _BAD_REQUEST_ERRORS as exc:
-            self.metrics.bump("errors")
-            return _error(request_id, "bad_request", str(exc))
-        except Exception as exc:
-            self.metrics.bump("errors")
-            return _error(request_id, "internal", f"{type(exc).__name__}: {exc}")
         finally:
             self.metrics.bump("active_requests", -1)
             self._ingest_slots.release()
-
-    def _apply_ingest(self, batch: list[Event], partition: str) -> Any:
-        """Apply a (possibly fully-deduplicated) batch to the engine.
-
-        An empty post-dedup batch skips ``update()`` entirely so a pure
-        replay does not bump write generations and evict warm caches.
-        """
-        if not batch:
-            from repro.core.builder import UpdateStats
-
-            return UpdateStats(partition=partition)
-        return self.engine.update(batch, partition)
 
 
 def _error(request_id: Any, code: str, message: str) -> dict[str, Any]:

@@ -1,18 +1,17 @@
-"""Sharded pair index: N independent LSM shards + scatter-gather queries.
+"""Shard placement for a partitioned pair index.
 
-A :class:`~repro.shard.index.ShardedSequenceIndex` partitions traces across
-independent single-store engines by a stable hash of the trace id
-(:func:`~repro.shard.hashing.shard_for_trace`), fans ``update()`` out per
-shard, and answers queries scatter-gather: plan once from the merged Count
-cardinalities, fetch from every shard concurrently, merge candidate/match
-sets before returning.  Because a trace's pairs colocate on one shard,
-per-trace pruning stays shard-local and every merge is a disjoint union.
+:class:`~repro.core.engine.SequenceIndex` over a list of stores partitions
+traces across them by a stable hash of the trace id
+(:func:`~repro.shard.hashing.shard_for_trace`); a sharded store directory
+describes its layout in a ``SHARDS.json`` manifest
+(:mod:`repro.shard.manifest`).  Because a trace's pairs colocate on one
+shard, per-trace work stays shard-local and every merge is a disjoint
+union.
 """
 
 from repro.shard.hashing import HASH_NAME, shard_for_trace
-from repro.shard.index import (
+from repro.shard.manifest import (
     MANIFEST_NAME,
-    ShardedSequenceIndex,
     is_sharded_store,
     read_manifest,
     shard_paths,
@@ -22,7 +21,6 @@ from repro.shard.index import (
 __all__ = [
     "HASH_NAME",
     "MANIFEST_NAME",
-    "ShardedSequenceIndex",
     "is_sharded_store",
     "read_manifest",
     "shard_for_trace",

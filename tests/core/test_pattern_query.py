@@ -116,26 +116,6 @@ class TestPatternPlanner:
             assert plan.negated == ("!Z",)
             assert "no pruning" in plan.describe()
 
-    def test_planner_disabled_keeps_natural_group_order(self):
-        # (A,B) completes 3x, (B,C) once: the planner would flip the order.
-        log = EventLog.from_dict({"t1": ["A", "B", "A", "B", "A", "B", "C"]})
-        planned = SequenceIndex(policy=Policy.STNM)
-        naive = SequenceIndex(policy=Policy.STNM, planner=False)
-        try:
-            planned.update(log)
-            naive.update(log)
-            nat = naive.explain("SEQ(A, B, C)")
-            assert nat.order == (0, 1)
-            assert not nat.reordered
-            a = planned.detect("SEQ(A, B, C)")
-            b = naive.detect("SEQ(A, B, C)")
-            assert {(m.trace_id, m.timestamps) for m in a} == {
-                (m.trace_id, m.timestamps) for m in b
-            }
-        finally:
-            planned.close()
-            naive.close()
-
     def test_planner_orders_groups_cheapest_first(self):
         # (A,B) completes 3x, (B,C) once: pruning must start at (B,C).
         log = EventLog.from_dict(

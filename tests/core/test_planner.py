@@ -3,7 +3,8 @@
 The selectivity-driven planner must be *unobservable* through results: for
 any log, pattern, policy, partition layout and cache configuration,
 planner-ordered detection returns byte-identical matches to naive
-left-to-right evaluation and to a brute-force per-trace oracle.  These
+left-to-right evaluation (the chain behind ``detect_with_prefixes``) and
+to a brute-force per-trace oracle.  These
 properties pin that down, alongside sanity checks of the plan object and
 its metrics/CLI surface.
 """
@@ -58,10 +59,9 @@ class TestPlannerEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_planner_equals_naive_equals_oracle(self, log, pattern, policy):
         planned = _build(log, policy, query_cache_size=0)
-        naive = _build(log, policy, query_cache_size=0, planner=False,
-                       postings_cache_size=0, batched_reads=False)
+        naive = _build(log, policy, query_cache_size=0, postings_cache_size=0)
         got_planned = planned.detect(pattern)
-        got_naive = naive.detect(pattern)
+        got_naive = naive.detect_with_prefixes(pattern)[len(pattern)]
         assert got_planned == got_naive
         assert [(m.trace_id, m.timestamps) for m in got_planned] == _oracle_matches(
             log, pattern, policy
@@ -108,19 +108,16 @@ class TestPlannerEquivalence:
                 )
 
         planned = SequenceIndex(query_cache_size=0)
-        naive = SequenceIndex(
-            query_cache_size=0, planner=False, postings_cache_size=0,
-            batched_reads=False,
-        )
+        naive = SequenceIndex(query_cache_size=0, postings_cache_size=0)
         spread(planned)
         spread(naive)
-        assert planned.detect(pattern, partition=None) == naive.detect(
-            pattern, partition=None
-        )
+
+        def left_to_right(partition):
+            return naive.detect_with_prefixes(pattern, partition)[len(pattern)]
+
+        assert planned.detect(pattern, partition=None) == left_to_right(None)
         if len(log) >= 2:  # "p1" only exists once a second trace was spread
-            assert planned.detect(pattern, partition="p1") == naive.detect(
-                pattern, partition="p1"
-            )
+            assert planned.detect(pattern, partition="p1") == left_to_right("p1")
 
 
 class TestPlanObject:
@@ -162,12 +159,6 @@ class TestPlanObject:
         for pattern in (["A", "B", "C"], ["B", "C", "A"], ["A", "B", "C", "A"]):
             plan = index.explain(pattern)
             assert plan.reordered == (plan.order != tuple(range(len(plan.pairs))))
-
-    def test_planner_disabled_keeps_natural_order(self):
-        index = _build({"t1": list("ABCABC")}, planner=False)
-        plan = index.explain(["A", "B", "C"])
-        assert plan.order == (0, 1)
-        assert not plan.reordered
 
     def test_trivial_plan_for_short_patterns(self):
         index = self._index()
@@ -241,8 +232,11 @@ class TestExplainSurface:
 
     def test_prefixes_unaffected_by_planner(self):
         log = {"t1": list("ABCABC"), "t2": list("ACBCA")}
-        planned = _build(log)
-        naive = _build(log, planner=False, postings_cache_size=0)
-        assert planned.detect_with_prefixes(["A", "B", "C"]) == naive.detect_with_prefixes(
-            ["A", "B", "C"]
+        pattern = ["A", "B", "C", "A"]
+        planned = _build(log, query_cache_size=0)
+        prefixes = planned.detect_with_prefixes(pattern)
+        for length, matches in prefixes.items():
+            assert matches == planned.detect(pattern[:length])
+        assert prefixes == _build(log, postings_cache_size=0).detect_with_prefixes(
+            pattern
         )

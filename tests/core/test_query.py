@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SequenceIndex
 from repro.core.errors import EmptyPatternError
-from repro.core.model import EventLog
+from repro.core.model import Event, EventLog
 from repro.core.pairs import reference_stnm_pairs
 from repro.core.policies import Policy
+from repro.core.query import QueryProcessor
 
 
 def _index(log, policy=Policy.STNM):
@@ -248,3 +252,85 @@ class TestStam:
                 for m in sase.query(pattern, strategy=Policy.STAM)
             )
             assert ours == theirs, pattern
+
+
+def _in_thread(work):
+    """Run ``work`` on another thread and wait for it (a racing query)."""
+    errors = []
+
+    def run():
+        try:
+            work()
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert not errors
+
+
+class TestCountRowCache:
+    def test_racing_eviction_cannot_lose_fetched_rows(self):
+        """Another query thread churning the shared Count-row cache past its
+        bound, between this call's insert and its read, must not lose the
+        rows this call fetched (it used to raise ``KeyError``)."""
+        query = None
+        filler = [(f"f{i}", "x") for i in range(5000)]
+
+        class Row(dict):
+            def get(self, key, default=None):
+                # Reading a fetched row: a racing query fetches a new row.
+                _in_thread(lambda: query.cardinalities([("W", "x")]))
+                return super().get(key, default)
+
+        class Tables:
+            store = None
+            fetches = 0
+
+            def get_count_rows(self, firsts):
+                self.fetches += 1
+                if self.fetches > 1:
+                    return {first: {"x": [1.0, 1]} for first in firsts}
+                # Mid-fetch, a racing query fills the cache past its bound.
+                _in_thread(lambda: query.cardinalities(filler))
+                return {first: Row(x=[1.0, 1]) for first in firsts}
+
+        query = QueryProcessor(Tables())
+        assert query.cardinalities([("X", "x"), ("Y", "x"), ("Y", "z")]) == (1, 1, 0)
+
+    def test_threads_planning_under_generation_churn(self):
+        """More planning threads than cores race a writer whose updates
+        bump the generation, so the Count-row cache keeps evicting."""
+        firsts = [f"a{i}" for i in range(60)]
+        index = _index(EventLog.from_dict({f"t{i}": [a, "b"] for i, a in enumerate(firsts)}))
+        pairs = [(first, "b") for first in firsts]
+        errors = []
+        stop = threading.Event()
+
+        def plan():
+            try:
+                while not stop.is_set():
+                    assert index.query.cardinalities(pairs) == (1,) * len(pairs)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def write():
+            for i in range(200):  # 200 generations x 60 rows > the cache bound
+                index.update([Event(f"w{i}", "w", 0.0)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=plan) for _ in range(8)]
+            writer = threading.Thread(target=write)
+            for thread in readers + [writer]:
+                thread.start()
+            writer.join(timeout=60)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers + [writer])
+        assert errors == []

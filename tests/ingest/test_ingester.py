@@ -21,7 +21,6 @@ from repro.ingest import (
 )
 from repro.kvstore import LSMStore
 from repro.obs.registry import REGISTRY
-from repro.shard import ShardedSequenceIndex
 
 
 def _ab_events(n, trace="t1"):
@@ -250,7 +249,7 @@ class TestSharded:
         events = _ab_events(10) + _ab_events(8, trace="t2")
         feed = str(tmp_path / "feed.jsonl")
         _write_feed(feed, sorted(events, key=lambda e: e.timestamp))
-        sharded = ShardedSequenceIndex.open(
+        sharded = SequenceIndex.open(
             str(tmp_path / "shx"), LSMStore, num_shards=2
         )
         try:

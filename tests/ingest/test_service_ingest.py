@@ -7,20 +7,16 @@ import pytest
 from repro.core.engine import SequenceIndex
 from repro.core.policies import Policy
 from repro.ingest import EngineSink, FeedWriter, ServiceSink, TailIngester
+from repro.kvstore import InMemoryStore
 from repro.service import SequenceService, ServiceClient
-from repro.shard import ShardedSequenceIndex
 
 from tests.ingest.test_ingester import _ab_events
 
 
 @pytest.fixture(params=[1, 2], ids=["single", "sharded"])
 def service(request):
-    if request.param == 1:
-        engine = SequenceIndex(policy=Policy.STNM)
-    else:
-        engine = ShardedSequenceIndex(
-            [SequenceIndex(policy=Policy.STNM) for _ in range(2)]
-        )
+    stores = [InMemoryStore() for _ in range(request.param)]
+    engine = SequenceIndex(stores, policy=Policy.STNM)
     svc = SequenceService(engine, port=0)
     svc.start()
     yield svc

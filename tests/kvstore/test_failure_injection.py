@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from repro.faults import FaultSchedule, FaultyIO, SimulatedCrash
+from repro.faults.schedule import CORRUPT, TRUNCATE_CRASH, Fault
 from repro.kvstore import LSMStore
 from repro.kvstore.api import CorruptionError
 
@@ -227,22 +229,25 @@ def _multi_table_store(path, **kwargs) -> LSMStore:
     return store
 
 
+def _pre_swap(kind: str) -> FaultSchedule:
+    """A schedule firing ``kind`` once at the compaction's pre-swap point.
+
+    ``arg=0`` aims a ``corrupt`` fault at the file's first data bytes.
+    """
+    return FaultSchedule([Fault(kind, "point:compaction.pre_swap", arg=0.0)])
+
+
 class TestCompactionFaults:
     """Faults injected between compaction output and the manifest swap."""
 
     def test_corrupt_compaction_output_aborts_swap(self, tmp_path):
-        store = _multi_table_store(str(tmp_path / "db"))
+        schedule = _pre_swap(CORRUPT)
+        store = _multi_table_store(str(tmp_path / "db"), io=FaultyIO(schedule))
         before_tables = store.sstable_count
         before_values = {key: value for key, value in store.scan("t")}
 
-        def corrupt(path: str) -> None:
-            with open(path, "r+b") as fh:
-                fh.seek(12)  # inside the first data record
-                fh.write(b"\xde\xad\xbe\xef")
-
-        store.compaction_pre_swap_hook = corrupt
         assert store.compact() is False  # verify() flags it, swap refused
-        store.compaction_pre_swap_hook = None
+        assert schedule.fired
 
         assert store.metrics.compaction_aborts == 1
         assert store.metrics.compactions == 0
@@ -254,24 +259,17 @@ class TestCompactionFaults:
 
     def test_killed_compaction_recovers_on_reopen(self, tmp_path):
         path = str(tmp_path / "db")
-        store = _multi_table_store(path)
+        schedule = _pre_swap(TRUNCATE_CRASH)
+        store = _multi_table_store(path, io=FaultyIO(schedule))
         before_values = {key: value for key, value in store.scan("t")}
 
-        class Killed(RuntimeError):
-            pass
-
-        def kill(sst_path: str) -> None:
-            with open(sst_path, "r+b") as fh:
-                fh.truncate(os.path.getsize(sst_path) // 2)
-            raise Killed
-
-        store.compaction_pre_swap_hook = kill
-        with pytest.raises(Killed):
+        with pytest.raises(SimulatedCrash):
             store.compact()
         store.close()
 
         # The orphan half-written table is on disk but outside the manifest.
-        assert any(f.endswith(".sst") for f in os.listdir(path))
+        _, orphan = schedule.injected[0].fired_at
+        assert orphan.endswith(".sst") and os.path.exists(orphan)
         reopened = LSMStore(path)
         assert {key: value for key, value in reopened.scan("t")} == before_values
         reopened.verify()
@@ -356,21 +354,16 @@ class TestCloseIdempotency:
 class TestBackgroundCompactionFaults:
     def test_background_compaction_survives_corrupt_output(self, tmp_path):
         store = _multi_table_store(
-            str(tmp_path / "db2"), background_compaction=True
+            str(tmp_path / "db2"),
+            background_compaction=True,
+            io=FaultyIO(_pre_swap(CORRUPT)),
         )
         before_values = {key: value for key, value in store.scan("t")}
 
-        def corrupt(path: str) -> None:
-            with open(path, "r+b") as fh:
-                fh.seek(12)
-                fh.write(b"\xde\xad\xbe\xef")
-
-        store.compaction_pre_swap_hook = corrupt
         store._compactor.trigger()
         deadline = time.time() + 5.0
         while store.metrics.compaction_aborts == 0 and time.time() < deadline:
             time.sleep(0.01)
-        store.compaction_pre_swap_hook = None
 
         assert store.metrics.compaction_aborts >= 1
         assert {key: value for key, value in store.scan("t")} == before_values

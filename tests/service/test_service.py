@@ -27,7 +27,7 @@ from repro.service import (
     run_loadgen,
     send_frame,
 )
-from repro.shard import ShardedSequenceIndex
+from repro.kvstore import InMemoryStore
 
 
 def _service_threads():
@@ -47,12 +47,8 @@ def _make_engine(num_shards=2):
             "t4": list("AABB"),
         }
     )
-    if num_shards == 1:
-        engine = SequenceIndex(policy=Policy.STNM)
-    else:
-        engine = ShardedSequenceIndex(
-            [SequenceIndex(policy=Policy.STNM) for _ in range(num_shards)]
-        )
+    stores = [InMemoryStore() for _ in range(num_shards)]
+    engine = SequenceIndex(stores, policy=Policy.STNM)
     engine.update(log)
     return engine
 
@@ -150,9 +146,53 @@ class TestSmoke:
         host, port = service.address
         with ServiceClient(host, port) as client:
             stats = client.stats()
-        if getattr(service.engine, "num_shards", None):
-            assert stats["num_shards"] == service.engine.num_shards
-            assert len(stats["shards"]) == service.engine.num_shards
+        assert stats["num_shards"] == service.engine.num_shards
+        assert len(stats["shards"]) == service.engine.num_shards
+
+
+class _BrokenEngine:
+    """An engine failing with the bare ``KeyError`` of an internal bug."""
+
+    def detect(self, *args, **kwargs):
+        raise KeyError((229, "act_067"))
+
+
+class TestErrorClassification:
+    def test_engine_key_error_is_internal(self, caplog):
+        svc = SequenceService(_BrokenEngine(), port=0)
+        svc.start()
+        try:
+            with ServiceClient(*svc.address) as client:
+                with pytest.raises(ServiceError) as exc_info:
+                    client.detect(["A", "B"])
+                assert exc_info.value.code == "internal"
+                assert "KeyError" in str(exc_info.value)
+                # A malformed request is still the client's fault.
+                with pytest.raises(ServiceError) as exc_info:
+                    client._call("detect", pattern=["A", 2])
+                assert exc_info.value.code == "bad_request"
+                assert client.ping() == "pong"
+        finally:
+            svc.shutdown()
+        assert "internal error" in caplog.text
+
+    def test_malformed_fields_are_bad_requests(self, service):
+        host, port = service.address
+        with ServiceClient(host, port) as client:
+            for fields in (
+                {"pattern": ["A", "B"], "within": -1},
+                {"pattern": "SEQ(A, B)", "within": 3},
+                {"pattern": ["A", "B"], "max_matches": "many"},
+                {"pattern": ["A", "B"], "partition": 7},
+                {"pattern": ["A", "B"], "deadline_ms": "soon"},
+            ):
+                with pytest.raises(ServiceError) as exc_info:
+                    client._call("detect", **fields)
+                assert exc_info.value.code == "bad_request", fields
+            with pytest.raises(ServiceError) as exc_info:
+                client._call("ingest", events=[["t", "A"]])
+            assert exc_info.value.code == "bad_request"
+            assert client.ping() == "pong"
 
 
 class TestShutdown:
@@ -200,13 +240,15 @@ class TestShutdown:
 
 class TestAdmissionControl:
     class _SlowEngine:
-        """Duck-typed engine whose detect blocks until released."""
+        """Stand-in engine whose detect blocks until released."""
 
         def __init__(self):
             self.release = threading.Event()
             self.entered = threading.Event()
 
-        def detect(self, pattern, partition="", max_matches=None, within=None):
+        def detect(
+            self, pattern, partition="", max_matches=None, within=None, deadline=None
+        ):
             self.entered.set()
             self.release.wait(timeout=10.0)
             return []

@@ -12,11 +12,11 @@ import json
 
 import pytest
 
+from repro.core.engine import SequenceIndex
 from repro.core.model import EventLog
 from repro.kvstore import LSMStore
 from repro.shard import (
     MANIFEST_NAME,
-    ShardedSequenceIndex,
     is_sharded_store,
     read_manifest,
     shard_paths,
@@ -25,7 +25,7 @@ from repro.shard import (
 
 
 def _open(root, num_shards=None):
-    return ShardedSequenceIndex.open(
+    return SequenceIndex.open(
         root, lambda path: LSMStore(path), num_shards=num_shards
     )
 
@@ -78,9 +78,14 @@ def test_reopen_with_wrong_count_is_refused(tmp_path):
         _open(root, num_shards=4)
 
 
-def test_new_store_requires_count(tmp_path):
-    with pytest.raises(ValueError, match="num_shards"):
-        _open(tmp_path / "fresh")
+def test_new_store_without_count_is_one_store(tmp_path):
+    root = tmp_path / "fresh"
+    with _open(root) as index:
+        assert index.num_shards == 1
+        index.update(EventLog.from_dict({"t1": list("AB")}))
+    assert not is_sharded_store(root)
+    with SequenceIndex(LSMStore(str(root))) as index:
+        assert index.count(["A", "B"]) == 1
 
 
 def test_corrupt_manifest_is_refused(tmp_path):

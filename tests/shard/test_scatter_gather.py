@@ -1,12 +1,13 @@
-"""Scatter-gather correctness: the sharded index is byte-identical to the
-single-store engine.
+"""Scatter-gather correctness: an N-shard index is byte-identical to one
+store.
 
 Because traces are disjoint across shards (one trace's pairs always
-colocate), every merged result must equal what one engine over the union
+colocate), every merged result must equal what one store over the union
 of the data returns -- same matches, same order, same counts.  The tests
-drive both engines over the golden corpus, over 25 fixed difftest seeds,
-and under concurrent writers, asserting equality on every query surface
-(``detect``/``count``/``contains``/composite/``statistics``/introspection).
+drive both over the golden corpus, over 25 fixed difftest seeds, and
+under concurrent writers, asserting equality on every query surface
+(``detect``/``count``/``contains``/composite/``statistics``/``explain``/
+continuations/``explore_at``/prefix detection/introspection).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.core.engine import SequenceIndex
 from repro.core.model import Event, EventLog, Trace
 from repro.core.policies import Policy
 from repro.difftest import random_log, random_pattern
+from repro.kvstore import InMemoryStore
 from repro.logs.csv_log import read_csv_log
-from repro.shard import ShardedSequenceIndex
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CORPUS = json.loads((DATA / "pattern_corpus.json").read_text())
@@ -37,10 +38,29 @@ def _matches(engine, pattern, **kwargs):
 
 def _make_pair(num_shards, policy=Policy.STNM):
     single = SequenceIndex(policy=policy)
-    sharded = ShardedSequenceIndex(
-        [SequenceIndex(policy=policy) for _ in range(num_shards)]
+    sharded = SequenceIndex(
+        [InMemoryStore() for _ in range(num_shards)], policy=policy
     )
     return single, sharded
+
+
+def _assert_exploration_identical(single, sharded, pattern):
+    """Continuations in every mode, insertions and prefixes agree."""
+    for mode in ("accurate", "fast", "hybrid"):
+        assert sharded.continuations(pattern, mode=mode, top_k=2) == (
+            single.continuations(pattern, mode=mode, top_k=2)
+        ), (pattern, mode)
+    assert sharded.continuations(pattern, mode="accurate", within=2.0) == (
+        single.continuations(pattern, mode="accurate", within=2.0)
+    )
+    for position in range(len(pattern) + 1):
+        assert sharded.explore_at(pattern, position) == single.explore_at(
+            pattern, position
+        ), (pattern, position)
+    if len(pattern) >= 2:
+        assert sharded.detect_with_prefixes(pattern) == (
+            single.detect_with_prefixes(pattern)
+        ), pattern
 
 
 @pytest.fixture(params=[1, 2, 4])
@@ -112,6 +132,26 @@ class TestGoldenCorpus:
         for trace_id in single.trace_ids():
             assert sharded.get_trace(trace_id) == single.get_trace(trace_id)
 
+    def test_exploration_identical(self, golden_engines):
+        single, sharded = golden_engines
+        for pattern in (["A"], ["A", "B"], ["B", "C"], ["A", "B", "C"], ["Z"]):
+            _assert_exploration_identical(single, sharded, pattern)
+        # Prefix detection where the chain set dies early on some shards.
+        for pattern in (["A", "B", "A", "B", "C"], ["C", "Z", "A"], ["D", "A", "B"]):
+            assert sharded.detect_with_prefixes(pattern) == (
+                single.detect_with_prefixes(pattern)
+            ), pattern
+
+    def test_explain_identical(self, golden_engines):
+        single, sharded = golden_engines
+        for pattern in (["A", "B"], ["A", "B", "C", "A"], ["A", "Z"], ["A"]):
+            assert sharded.explain(pattern) == single.explain(pattern), pattern
+        for case in CORPUS["cases"]:
+            pattern = case["pattern"]
+            assert sharded.explain(pattern) == single.explain(pattern), pattern
+            matches, plan = sharded.detect(pattern, explain=True)
+            assert (matches, plan) == single.detect(pattern, explain=True)
+
 
 def _to_event_log(case_log):
     return EventLog(
@@ -136,6 +176,7 @@ def test_difftest_seeds_identical(seed):
         # A plain pattern over the same alphabet exercises the chain join.
         plain = ["A", "B"]
         assert _matches(sharded, plain) == _matches(single, plain)
+        _assert_exploration_identical(single, sharded, plain)
     finally:
         single.close()
         sharded.close()
@@ -207,6 +248,7 @@ def test_identical_under_concurrent_writers(seed):
         assert sharded.count(["A", "B", "C"]) == single.count(["A", "B", "C"])
         assert sharded.contains(["A", "B"]) == single.contains(["A", "B"])
         assert sharded.trace_ids() == single.trace_ids()
+        _assert_exploration_identical(single, sharded, ["A", "B", "C"])
     finally:
         single.close()
         sharded.close()
@@ -253,13 +295,20 @@ class TestCoordinator:
             single.close()
             sharded.close()
 
-    def test_continuations_unsupported(self):
+    def test_continuations_follow_updates(self):
         single, sharded = _make_pair(2)
         try:
-            with pytest.raises(NotImplementedError):
-                sharded.continuations(["A", "B"])
-            with pytest.raises(NotImplementedError):
-                sharded.detect_with_prefixes(["A", "B"])
+            first = EventLog.from_dict({"t1": list("ABC"), "t2": list("ABD")})
+            for engine in (single, sharded):
+                engine.update(first)
+            _assert_exploration_identical(single, sharded, ["A", "B"])
+            # A cached continuation must not survive an update on any shard.
+            more = EventLog.from_dict({"t3": list("ABD"), "t4": list("ABD")})
+            for engine in (single, sharded):
+                engine.update(more)
+            proposals = sharded.continuations(["A", "B"], mode="accurate")
+            assert proposals[0].event == "D" and proposals[0].completions == 3
+            _assert_exploration_identical(single, sharded, ["A", "B"])
         finally:
             single.close()
             sharded.close()

@@ -315,9 +315,14 @@ class TestSharded:
         assert main(["stats", "A,B", "--store", sharded_store]) == 0
         assert "A -> B" in capsys.readouterr().out
 
-    def test_continue_is_refused(self, sharded_store):
-        with pytest.raises(SystemExit, match="single-store"):
-            main(["continue", "A,B", "--store", sharded_store])
+    def test_continue_matches_single_store(self, sharded_store, store_dir, capsys):
+        for mode in ("accurate", "fast", "hybrid"):
+            args = ["continue", "A", "--mode", mode, "--top-k", "2"]
+            assert main(args + ["--store", sharded_store]) == 0
+            sharded_out = capsys.readouterr().out
+            assert main(args + ["--store", store_dir]) == 0
+            assert capsys.readouterr().out == sharded_out, mode
+            assert "completions=" in sharded_out
 
     def test_metrics_exposes_shard_gauges(self, sharded_store, capsys):
         assert main(
